@@ -19,6 +19,9 @@ use std::time::{Duration, Instant};
 /// Builds per run at the least, however short `--seconds` is: the median
 /// of three shrugs off one build that a busy host slowed down.
 const MIN_BUILDS: usize = 3;
+/// Traced builds per traced run at the least, so that the exact counts of
+/// one are checked against another's.
+const MIN_TRACED: usize = 2;
 /// `ii build`'s default checkpoint cadence, in runs.
 const CHECKPOINT_EVERY: usize = 8;
 
@@ -150,12 +153,17 @@ fn child(
     let committed = (workload == Workload::BuildCpu).then_some(out);
     let sizes = layers::ArtifactSizes::of(&index, committed).map_err(program)?;
     println!("index_bytes {}", sizes.total);
+    // Simulated device time is only reported through the trace.
+    let mut device_s = None;
     if trace {
         println!(
             "postings.run_bytes_per_posting {}",
             sizes.run_bytes as f64 / sizes.postings.max(1) as f64
         );
         for (name, value) in layers::from_build(&index.report, wall_s) {
+            if name == "gpusim.device_s" {
+                device_s = Some(value);
+            }
             println!("{name} {value}");
         }
     }
@@ -183,7 +191,10 @@ fn child(
                     "{shed} GPU shards moved to the CPU"
                 )));
             }
-            if index.report.gpu_stats.tokens == 0 || stages.counter("gpu.instructions") == 0 {
+            if index.report.gpu_stats.tokens == 0
+                || stages.counter("gpu.instructions") == 0
+                || device_s == Some(0.0)
+            {
                 return Err(OpError::Wrong("the simulated GPU indexed nothing".into()));
             }
             oracle.check_index(&index).map_err(OpError::Wrong)
@@ -201,6 +212,24 @@ fn peak_rss_mb() -> Result<f64, String> {
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
         .ok_or("no VmHWM in /proc/self/status")?;
     Ok(kb * 1024.0 / 1e6)
+}
+
+/// A traced build's exact counts against those of the run's `first` traced
+/// build: a count that differs is a wrong output.
+fn same_exact(
+    first: Option<&BTreeMap<String, f64>>,
+    values: &BTreeMap<String, f64>,
+) -> Result<(), OpError> {
+    let Some(first) = first else { return Ok(()) };
+    for key in layers::EXACT {
+        let (a, b) = (first.get(*key), values.get(*key));
+        if a != b {
+            return Err(OpError::Wrong(format!(
+                "{key} differs between builds of the same input: {a:?}, then {b:?}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// One run of build-cpu or build-gpu.
@@ -228,13 +257,19 @@ pub fn run(
     let mut n = 0usize;
     // A traced run alternates untraced and traced builds, so their ratio
     // prices the tracing under the same conditions.
-    while n < MIN_BUILDS || start.elapsed() < seconds {
+    let min_builds = if trace { 2 * MIN_TRACED } else { MIN_BUILDS };
+    while n < min_builds || start.elapsed() < seconds {
         let traced = trace && n % 2 == 1;
         let out: PathBuf = work.join(&format!("index-{n}"));
         let child = spawn_child(workload, &coll_dir, &oracle_path, &out, traced)?;
         let _ = fs::remove_dir_all(&out);
-        outcome.record(&child.status);
-        if child.status.is_ok() {
+        let mut status = child.status;
+        if traced && status.is_ok() {
+            let first = builds.iter().find(|b| b.0).map(|b| &b.1);
+            status = same_exact(first, &child.values);
+        }
+        outcome.record(&status);
+        if status.is_ok() {
             builds.push((traced, child.values));
         }
         n += 1;
@@ -263,9 +298,6 @@ pub fn run(
     if let Some(first) = traced.first() {
         for key in first.keys() {
             let xs: Vec<f64> = traced.iter().filter_map(|m| m.get(key).copied()).collect();
-            if layers::EXACT.contains(&key.as_str()) && xs.iter().any(|x| *x != xs[0]) {
-                eprintln!("{key} differs between builds of the same input: {xs:?}");
-            }
             values.insert(key.clone(), median(&xs));
         }
     }

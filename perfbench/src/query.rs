@@ -168,7 +168,7 @@ pub fn run(seed: u64, seconds: Duration, trace: bool) -> Result<Outcome, String>
 }
 
 /// The traced query run: the read-side layers timed alone on the served
-/// index, and the index's own query counters over one round.
+/// index, and the index's own query counters over two rounds.
 fn traced(oracle: &Oracle, queries: &[Query], served: &Path) -> Result<Outcome, String> {
     let mut verify = Vec::new();
     for _ in 0..OPENS {
@@ -207,17 +207,43 @@ fn traced(oracle: &Oracle, queries: &[Query], served: &Path) -> Result<Outcome, 
     }
     let decode = postings as f64 / 1e6 / t.elapsed().as_secs_f64();
 
-    for q in queries {
-        outcome.record(&ask(&index, q).1);
+    // Two rounds of the same queries must move the index's query counters
+    // by the same amounts.
+    let counters = [
+        "query.postings_scanned",
+        "query.blocks_decoded",
+        "query.blocks_skipped",
+    ];
+    let read = || counters.map(|c| index.obs.counter(c).get());
+    let mut rounds = Vec::new();
+    for _ in 0..2 {
+        let before = read();
+        for q in queries {
+            outcome.record(&ask(&index, q).1);
+        }
+        let after = read();
+        rounds.push([0, 1, 2].map(|i| after[i] - before[i]));
     }
-    let per_query = |name: &str| index.obs.counter(name).get() as f64 / queries.len() as f64;
+    outcome.record(&if rounds[0] == rounds[1] {
+        Ok(())
+    } else {
+        Err(OpError::Wrong(format!(
+            "query counters {counters:?} moved by {:?}, then by {:?}, on the same queries",
+            rounds[0], rounds[1]
+        )))
+    });
+    // Only the AND path decodes through skip cursors and counts blocks.
+    let and_queries = queries
+        .iter()
+        .filter(|q| matches!(q.want, Want::And(_)))
+        .count() as f64;
     let values = [
         median(&verify),
         lookup_ns,
         decode,
-        per_query("query.postings_scanned"),
-        per_query("query.blocks_decoded"),
-        per_query("query.blocks_skipped"),
+        rounds[0][0] as f64 / queries.len() as f64,
+        rounds[0][1] as f64 / and_queries,
+        rounds[0][2] as f64 / and_queries,
     ];
     for ((name, unit), v) in QUERY_LAYERS.iter().zip(values) {
         outcome.push(name, unit, v);

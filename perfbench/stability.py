@@ -4,15 +4,14 @@ end-to-end metric: median, quartiles, inter-quartile range and largest
 deviation, each as a share of the median, against the bounds in
 BENCHMARK.json.
 
-    python3 perfbench/stability.py [--runs 10] [--sets 1|2] [--first-seed 1]
-        [--seconds S] [--workloads build-cpu,build-gpu,query] [--json out.json]
+    python3 perfbench/stability.py [--runs 10] [--sets 1|2]
 
-Run i uses seed first-seed + i on every workload; the workload order rotates
-from one round to the next. With --sets 2 every round runs each workload
-twice (the two sets alternate which goes first), and the report adds each
-set's median and how far the second is worse than the first. Exits 1 when a
-spread (setup_s excepted) or a set-to-set difference exceeds its bound, or
-when the failed share differs between sets.
+Round i (from 0) runs every workload of BENCHMARK.json for its run_seconds
+with seed i + 1; the workload order rotates from one round to the next.
+With --sets 2 every round runs each workload twice (the two sets alternate
+which goes first), and the report adds each set's median and how far the
+second is worse than the first. Exits 1 when a spread or a set-to-set
+difference exceeds its bound, or when the failed share differs between sets.
 """
 
 import argparse
@@ -60,33 +59,27 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--sets", type=int, choices=(1, 2), default=1)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
-    ap.add_argument("--json", help="also write every run's result here")
     args = ap.parse_args()
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m for m in bench["end_to_end"]}
 
     results = {(w, s): [] for w in workloads for s in range(args.sets)}
     for i in range(args.runs):
-        seed = args.first_seed + i
+        seed = i + 1
         order = workloads[i % len(workloads):] + workloads[:i % len(workloads)]
         sets = list(range(args.sets)) if i % 2 == 0 else list(reversed(range(args.sets)))
         for w in order:
             for s in sets:
-                r = run_once(w, seed, args.seconds)
+                r = run_once(w, seed, seconds)
                 results[(w, s)].append(r)
                 print(f"run {i + 1}/{args.runs} set {s + 1} {w} seed {seed}: "
                       f"{r['attempted']} attempted, {r['failed']} failed, correct {r['correct']}",
                       file=sys.stderr)
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump({f"{w}/{s + 1}": rs for (w, s), rs in results.items()}, f, indent=1)
 
     ok = True
     for w in workloads:
-        print(f"\n{w} ({args.runs} runs, {args.seconds} s each)")
+        print(f"\n{w} ({args.runs} runs, {seconds} s each)")
         print(f"  {'metric':<26}{'set':>4}{'median':>14}{'q1':>14}{'q3':>14}"
               f"{'iqr/med':>9}{'maxdev':>9}{'bound':>7}")
         medians = []
@@ -102,7 +95,7 @@ def main():
                 medians[s][name] = med
                 bound = metrics[name]["bound"]
                 flag = ""
-                if name != "setup_s" and iqr > bound:
+                if iqr > bound:
                     ok, flag = False, "  SPREAD > BOUND"
                 print(f"  {name:<26}{s + 1:>4}{med:>14.6g}{q1:>14.6g}{q3:>14.6g}"
                       f"{iqr:>9.4f}{dev:>9.4f}{bound:>7.2f}{flag}")
