@@ -1,12 +1,13 @@
-//! The build workloads. Every timed build runs in a child process of its
-//! own, so its peak resident memory is that build's alone: the parent holds
-//! the collection's oracle, the child loads it only after the build and the
-//! memory reading.
+//! The build phase of a run. Every timed build runs in a child process of
+//! its own, so its peak resident memory is that build's alone: the parent
+//! holds the query answers, the child loads the oracle only after the build
+//! and the memory reading. The last good build's committed directory is the
+//! index the serve phase opens.
 
 use crate::layers;
 use crate::oracle::Oracle;
 use crate::report::{median, OpError, Outcome};
-use crate::workload::{prepare, WorkDir, Workload};
+use crate::workload::{WorkDir, Workload};
 use ii_core::corpus::StoredCollection;
 use ii_core::{Index, IndexBuilder};
 use std::collections::BTreeMap;
@@ -105,9 +106,9 @@ pub fn child_main(argv: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
     let workload = match Workload::from_name(workload) {
-        Ok(w) if w != Workload::Query => w,
-        _ => {
-            eprintln!("perfbench child: not a build workload: {workload}");
+        Ok(w) => w,
+        Err(e) => {
+            eprintln!("perfbench child: {e}");
             return ExitCode::from(2);
         }
     };
@@ -140,18 +141,23 @@ fn child(
     let t = Instant::now();
     let index = match workload {
         Workload::BuildCpu => build_durable(&coll, out, trace),
-        _ => builder(1)
+        Workload::BuildGpu => builder(1)
             .tracing(trace)
             .build(&coll)
             .map_err(|e| format!("in-memory build: {e}")),
     }
     .map_err(program)?;
     let wall_s = t.elapsed().as_secs_f64();
+    // Read before the save below, which is not part of the build.
+    let peak_rss_mb = peak_rss_mb().map_err(program)?;
+    if workload == Workload::BuildGpu {
+        index.save(out).map_err(|e| program(format!("save: {e}")))?;
+    }
     println!("wall_s {wall_s}");
-    println!("peak_rss_mb {}", peak_rss_mb().map_err(program)?);
+    println!("commit_s {}", t.elapsed().as_secs_f64());
+    println!("peak_rss_mb {peak_rss_mb}");
 
-    let committed = (workload == Workload::BuildCpu).then_some(out);
-    let sizes = layers::ArtifactSizes::of(&index, committed).map_err(program)?;
+    let sizes = layers::ArtifactSizes::of(&index, out).map_err(program)?;
     println!("index_bytes {}", sizes.total);
     // Simulated device time is only reported through the trace.
     let mut device_s = None;
@@ -169,20 +175,19 @@ fn child(
     }
 
     let oracle = Oracle::load(oracle_path).map_err(|e| program(format!("load oracle: {e}")))?;
+    let statuses = Index::verify_dir(out).map_err(|e| OpError::Wrong(format!("verify: {e}")))?;
+    if let Some(bad) = statuses.iter().find(|s| !s.ok) {
+        return Err(OpError::Wrong(format!(
+            "verify: {} {}",
+            bad.name, bad.detail
+        )));
+    }
     match workload {
         Workload::BuildCpu => {
-            let statuses =
-                Index::verify_dir(out).map_err(|e| OpError::Wrong(format!("verify: {e}")))?;
-            if let Some(bad) = statuses.iter().find(|s| !s.ok) {
-                return Err(OpError::Wrong(format!(
-                    "verify: {} {}",
-                    bad.name, bad.detail
-                )));
-            }
             let reopened = Index::open(out).map_err(|e| OpError::Wrong(format!("open: {e}")))?;
             oracle.check_index(&reopened).map_err(OpError::Wrong)
         }
-        _ => {
+        Workload::BuildGpu => {
             let stages = &index.report.stages;
             let shed =
                 stages.counter("governor.gpu_sheds") + stages.counter("supervisor.gpu_takeovers");
@@ -232,85 +237,117 @@ fn same_exact(
     Ok(())
 }
 
-/// One run of build-cpu or build-gpu.
-pub fn run(
-    workload: Workload,
-    seed: u64,
-    seconds: Duration,
-    trace: bool,
-) -> Result<Outcome, String> {
-    let work = WorkDir::new(workload)?;
-    let coll_dir = work.join("collection");
-    let inputs = prepare(workload.spec(seed), &coll_dir)?;
-    let oracle_path = work.join("oracle.bin");
-    inputs
-        .oracle
-        .save(&oracle_path)
-        .map_err(|e| format!("save oracle: {e}"))?;
-    // The children load it from the file; the parent needs it no more.
-    drop(inputs.oracle);
-    let input_bytes = inputs.collection.manifest.stats.uncompressed_bytes as f64;
+/// The builds of one run.
+pub struct Builds {
+    /// Each successful build's figures, and whether it was traced.
+    pub samples: Vec<(bool, BTreeMap<String, f64>)>,
+    /// The committed directory of the last successful build.
+    pub served: PathBuf,
+}
 
-    let mut outcome = Outcome::new();
-    let mut builds: Vec<(bool, BTreeMap<String, f64>)> = Vec::new();
+impl Builds {
+    /// `key` of every successful build that was (`traced`) or was not.
+    pub fn values(&self, traced: bool, key: &str) -> Vec<f64> {
+        self.samples
+            .iter()
+            .filter(|b| b.0 == traced)
+            .filter_map(|b| b.1.get(key).copied())
+            .collect()
+    }
+}
+
+/// Build the run's collection in child processes until `window` has passed,
+/// at least [`MIN_BUILDS`] times (a traced run alternates untraced and
+/// traced builds, at least [`MIN_TRACED`] of each), recording each build as
+/// one operation.
+pub fn run_builds(
+    workload: Workload,
+    work: &WorkDir,
+    coll_dir: &Path,
+    oracle_path: &Path,
+    window: Duration,
+    trace: bool,
+    outcome: &mut Outcome,
+) -> Result<Builds, String> {
+    let mut samples: Vec<(bool, BTreeMap<String, f64>)> = Vec::new();
+    let mut served: Option<PathBuf> = None;
     let start = Instant::now();
     let mut n = 0usize;
-    // A traced run alternates untraced and traced builds, so their ratio
-    // prices the tracing under the same conditions.
+    // Alternating prices the tracing under the same conditions.
     let min_builds = if trace { 2 * MIN_TRACED } else { MIN_BUILDS };
-    while n < min_builds || start.elapsed() < seconds {
+    while n < min_builds || start.elapsed() < window {
         let traced = trace && n % 2 == 1;
-        let out: PathBuf = work.join(&format!("index-{n}"));
-        let child = spawn_child(workload, &coll_dir, &oracle_path, &out, traced)?;
-        let _ = fs::remove_dir_all(&out);
+        let out = work.join(&format!("index-{n}"));
+        let child = spawn_child(workload, coll_dir, oracle_path, &out, traced)?;
         let mut status = child.status;
         if traced && status.is_ok() {
-            let first = builds.iter().find(|b| b.0).map(|b| &b.1);
+            let first = samples.iter().find(|b| b.0).map(|b| &b.1);
             status = same_exact(first, &child.values);
         }
         outcome.record(&status);
         if status.is_ok() {
-            builds.push((traced, child.values));
+            samples.push((traced, child.values));
+            if let Some(old) = served.replace(out) {
+                let _ = fs::remove_dir_all(old);
+            }
+        } else {
+            let _ = fs::remove_dir_all(&out);
         }
         n += 1;
     }
+    let served = served.ok_or("no build succeeded")?;
+    Ok(Builds { samples, served })
+}
 
-    let walls = |traced: bool| -> Vec<f64> {
-        builds
-            .iter()
-            .filter(|b| b.0 == traced)
-            .map(|b| b.1["wall_s"])
-            .collect()
-    };
-    if !trace {
-        let all = |key: &str| -> Vec<f64> { builds.iter().map(|b| b.1[key]).collect() };
-        let mb_s: Vec<f64> = walls(false).iter().map(|w| input_bytes / 1e6 / w).collect();
-        let bytes: Vec<f64> = all("index_bytes").iter().map(|b| b / input_bytes).collect();
-        eprintln!("build walls (s): {:?}", walls(false));
-        outcome.push("build_mb_s", "MB/s", median(&mb_s));
-        outcome.push("build_peak_rss_mb", "MB", median(&all("peak_rss_mb")));
-        outcome.push("index_bytes_per_input_byte", "ratio", median(&bytes));
-        return Ok(outcome);
-    }
+/// The end-to-end figures of the untraced builds.
+pub fn push_metrics(builds: &Builds, input_bytes: f64, outcome: &mut Outcome) {
+    let walls = builds.values(false, "wall_s");
+    let mb_s: Vec<f64> = walls.iter().map(|w| input_bytes / 1e6 / w).collect();
+    let bytes: Vec<f64> = builds
+        .values(false, "index_bytes")
+        .iter()
+        .map(|b| b / input_bytes)
+        .collect();
+    eprintln!(
+        "build walls (s): {walls:?}; build and commit (s): {:?}",
+        builds.values(false, "commit_s")
+    );
+    outcome.push("build_mb_s", "MB/s", median(&mb_s));
+    outcome.push(
+        "build_peak_rss_mb",
+        "MB",
+        median(&builds.values(false, "peak_rss_mb")),
+    );
+    outcome.push("index_bytes_per_input_byte", "ratio", median(&bytes));
+}
 
-    let traced: Vec<&BTreeMap<String, f64>> = builds.iter().filter(|b| b.0).map(|b| &b.1).collect();
+/// Building and committing the served index: the build call, plus
+/// `Index::save` after an in-memory build.
+pub fn setup_s(builds: &Builds) -> f64 {
+    median(&builds.values(false, "commit_s"))
+}
+
+/// The per-layer figures of the traced builds (medians), the isolation
+/// passes over the collection, and the tracing's price.
+pub fn layer_values(
+    builds: &Builds,
+    coll: &StoredCollection,
+    input_bytes: f64,
+) -> Result<BTreeMap<String, f64>, String> {
     let mut values: BTreeMap<String, f64> = BTreeMap::new();
-    if let Some(first) = traced.first() {
+    if let Some((_, first)) = builds.samples.iter().find(|b| b.0) {
         for key in first.keys() {
-            let xs: Vec<f64> = traced.iter().filter_map(|m| m.get(key).copied()).collect();
-            values.insert(key.clone(), median(&xs));
+            values.insert(key.clone(), median(&builds.values(true, key)));
         }
     }
-    let overhead = median(&walls(true)) / median(&walls(false));
+    let untraced_walls = builds.values(false, "wall_s");
+    let traced_walls = builds.values(true, "wall_s");
+    let overhead = median(&traced_walls) / median(&untraced_walls);
     eprintln!(
-        "untraced walls (s): {:?}, traced walls (s): {:?}, trace overhead {overhead:.4}",
-        walls(false),
-        walls(true)
+        "untraced walls (s): {untraced_walls:?}, traced walls (s): {traced_walls:?}, \
+         trace overhead {overhead:.4}"
     );
-    layers::isolate_build(&inputs.collection, input_bytes, &mut values)?;
+    layers::isolate_build(coll, input_bytes, &mut values)?;
     values.insert("obs.trace_overhead".into(), overhead);
-    for (name, unit) in layers::BUILD_LAYERS {
-        outcome.push(name, unit, values.get(*name).copied().unwrap_or(0.0));
-    }
-    Ok(outcome)
+    Ok(values)
 }

@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
-/// Per-layer metrics of the build workloads, in report order.
-pub const BUILD_LAYERS: &[(&str, &str)] = &[
+/// Per-layer metrics, build side then serve side, in report order.
+pub const LAYERS: &[(&str, &str)] = &[
     ("corpus.read_s", "s"),
     ("corpus.decompress_s", "s"),
     ("corpus.decode_mb_s", "MB/s"),
@@ -52,6 +52,12 @@ pub const BUILD_LAYERS: &[(&str, &str)] = &[
     ("store.fsyncs", "count"),
     ("store.bytes_written_mb", "MB"),
     ("obs.trace_overhead", "ratio"),
+    ("store.verify_s", "s"),
+    ("dict.lookup_ns", "ns"),
+    ("postings.decode_mpostings_s", "Mpostings/s"),
+    ("query.postings_scanned_per_query", "count"),
+    ("query.blocks_decoded_per_query", "count"),
+    ("query.blocks_skipped_per_query", "count"),
 ];
 
 /// Counts that a given input must reproduce exactly, build after build.
@@ -65,20 +71,9 @@ pub const EXACT: &[&str] = &[
     "store.checkpoints",
 ];
 
-/// Per-layer metrics of the query workload, in report order.
-pub const QUERY_LAYERS: &[(&str, &str)] = &[
-    ("store.verify_s", "s"),
-    ("dict.lookup_ns", "ns"),
-    ("postings.decode_mpostings_s", "Mpostings/s"),
-    ("query.postings_scanned_per_query", "count"),
-    ("query.blocks_decoded_per_query", "count"),
-    ("query.blocks_skipped_per_query", "count"),
-];
-
 /// Sizes of an index's artifacts.
 pub struct ArtifactSizes {
-    /// Every artifact: the manifest-listed files of a durable build, or the
-    /// serialized runs, dictionary and doc map of an in-memory one.
+    /// Every manifest-listed artifact.
     pub total: u64,
     /// Serialized run files.
     pub run_bytes: u64,
@@ -87,8 +82,8 @@ pub struct ArtifactSizes {
 }
 
 impl ArtifactSizes {
-    /// `committed`: the directory a durable build committed `index` to.
-    pub fn of(index: &Index, committed: Option<&Path>) -> Result<ArtifactSizes, String> {
+    /// The artifacts `index` was committed to `dir` as.
+    pub fn of(index: &Index, dir: &Path) -> Result<ArtifactSizes, String> {
         let mut run_bytes = 0u64;
         let mut postings = 0u64;
         for set in index.run_sets.values() {
@@ -101,38 +96,20 @@ impl ArtifactSizes {
                     .sum::<u64>();
             }
         }
-        let total = match committed {
-            Some(dir) => {
-                let store = Store::open(dir).map_err(|e| format!("open store: {e}"))?;
-                let artifacts = &store.manifest().artifacts;
-                let runs: u64 = artifacts
-                    .iter()
-                    .filter(|a| parse_run_artifact_name(&a.name).is_some())
-                    .map(|a| a.len)
-                    .sum();
-                if runs != run_bytes {
-                    return Err(format!(
-                        "manifest lists {runs} run bytes, the index holds {run_bytes}"
-                    ));
-                }
-                artifacts.iter().map(|a| a.len).sum()
-            }
-            None => {
-                let mut dict = Vec::new();
-                let mut docmap = Vec::new();
-                index
-                    .dictionary
-                    .write_to(&mut dict)
-                    .map_err(|e| e.to_string())?;
-                index
-                    .doc_map
-                    .write_to(&mut docmap)
-                    .map_err(|e| e.to_string())?;
-                run_bytes + dict.len() as u64 + docmap.len() as u64
-            }
-        };
+        let store = Store::open(dir).map_err(|e| format!("open store: {e}"))?;
+        let artifacts = &store.manifest().artifacts;
+        let runs: u64 = artifacts
+            .iter()
+            .filter(|a| parse_run_artifact_name(&a.name).is_some())
+            .map(|a| a.len)
+            .sum();
+        if runs != run_bytes {
+            return Err(format!(
+                "manifest lists {runs} run bytes, the index holds {run_bytes}"
+            ));
+        }
         Ok(ArtifactSizes {
-            total,
+            total: artifacts.iter().map(|a| a.len).sum(),
             run_bytes,
             postings,
         })

@@ -1,15 +1,17 @@
 //! End-to-end benchmark of the inverted-file builder and its query path.
 //!
 //! ```text
-//! perfbench --workload build-cpu|build-gpu|query --seed N --seconds S --trace 0|1
+//! perfbench --workload build-cpu|build-gpu --seed N --seconds S --trace 0|1
 //! ```
 //!
-//! With `--trace 0` a run times the end-to-end metrics of its workload;
-//! with `--trace 1` it makes one traced run plus the layer isolation passes
-//! and reports the per-layer metrics. Human-readable detail goes to stderr;
-//! the last line of stdout is one JSON object with `correct`, `attempted`,
-//! `failed` and `metrics`. `perfbench child ...` is the one-build process
-//! the build workloads spawn (see `build.rs`).
+//! A run generates its workload's collection, builds and commits an index
+//! of it for the first half of `--seconds` and serves queries from the
+//! reopened index for the second half. With `--trace 0` it reports every
+//! end-to-end metric; with `--trace 1` it traces every other build, runs the
+//! layer isolation passes and reports every per-layer metric. Human-readable
+//! detail goes to stderr; the last line of stdout is one JSON object with
+//! `correct`, `attempted`, `failed` and `metrics`. `perfbench child ...` is
+//! the one-build process the build phase spawns (see `build.rs`).
 
 mod build;
 mod layers;
@@ -20,8 +22,8 @@ mod workload;
 
 use report::Outcome;
 use std::process::ExitCode;
-use std::time::Duration;
-use workload::Workload;
+use std::time::{Duration, Instant};
+use workload::{prepare, WorkDir, Workload};
 
 struct Args {
     workload: Workload,
@@ -69,12 +71,50 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 }
 
 fn run(args: &Args) -> Result<Outcome, String> {
-    match args.workload {
-        Workload::BuildCpu | Workload::BuildGpu => {
-            build::run(args.workload, args.seed, args.seconds, args.trace)
+    let work = WorkDir::new(args.workload)?;
+    let coll_dir = work.join("collection");
+    let inputs = prepare(args.workload.spec(args.seed), &coll_dir)?;
+    let t = Instant::now();
+    let queries = query::make_queries(&inputs.spec, &inputs.oracle);
+    eprintln!(
+        "query answers: {} queries in {:.1} s",
+        queries.len(),
+        t.elapsed().as_secs_f64()
+    );
+    // The children load the oracle from the file; the parent needs it no
+    // more once the queries have their answers.
+    let oracle_path = work.join("oracle.bin");
+    inputs
+        .oracle
+        .save(&oracle_path)
+        .map_err(|e| format!("save oracle: {e}"))?;
+    drop(inputs.oracle);
+    let coll = inputs.collection;
+    let input_bytes = coll.manifest.stats.uncompressed_bytes as f64;
+
+    let half = args.seconds / 2;
+    let mut outcome = Outcome::new();
+    let builds = build::run_builds(
+        args.workload,
+        &work,
+        &coll_dir,
+        &oracle_path,
+        half,
+        args.trace,
+        &mut outcome,
+    )?;
+    if args.trace {
+        let mut values = build::layer_values(&builds, &coll, input_bytes)?;
+        query::layer_values(&builds.served, &queries, &mut outcome, &mut values)?;
+        for (name, unit) in layers::LAYERS {
+            outcome.push(name, unit, values.get(*name).copied().unwrap_or(0.0));
         }
-        Workload::Query => query::run(args.seed, args.seconds, args.trace),
+    } else {
+        build::push_metrics(&builds, input_bytes, &mut outcome);
+        query::serve(&builds.served, &queries, half, &mut outcome)?;
+        outcome.push("setup_s", "s", build::setup_s(&builds));
     }
+    Ok(outcome)
 }
 
 fn main() -> ExitCode {

@@ -1,16 +1,13 @@
-//! The query workload: the committed index of the build-cpu input serves
+//! The serve phase of a run: the committed index is reopened and serves
 //! Zipf-sampled AND and OR top-10 queries from one closed-loop client.
 
-use crate::build::build_durable;
-use crate::layers::QUERY_LAYERS;
 use crate::oracle::{check_and, check_top_k, normalize_query, AndDigest, Oracle, TOP_K};
 use crate::report::{median, quantile, OpError, Outcome};
-use crate::workload::{prepare, splitmix64, WorkDir, Workload};
 use ii_core::corpus::{CollectionGenerator, CollectionSpec, Zipf};
 use ii_core::{Bm25Params, Index, QueryMode, RankedHit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fs;
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -19,14 +16,14 @@ use std::time::{Duration, Instant};
 /// its median, so a smaller set moves the p50 by which queries it happens
 /// to draw.
 const QUERIES_PER_CLASS: usize = 8000;
-/// Served-index builds per run; `setup_s` is their median.
-const SETUP_BUILDS: usize = 3;
 /// Opens of the committed index per run; `open_s` is their median.
-const OPENS: usize = 5;
+const OPENS: usize = 7;
+/// Seed of the query words' ranks: the same for every run.
+const QUERY_RANK_SEED: u64 = 0x5175_6572_7921;
 /// Queries run untimed, and not counted, before timing starts.
 const WARMUP: usize = 1000;
 
-struct Query {
+pub struct Query {
     text: String,
     want: Want,
 }
@@ -40,11 +37,16 @@ enum Want {
 /// Queries of 2 or 3 words drawn by the collection's own Zipf law from its
 /// vocabulary, alternating AND and OR. A query whose words all normalize
 /// away is drawn again.
-fn make_queries(spec: &CollectionSpec, oracle: &Oracle, seed: u64) -> Vec<Query> {
+///
+/// The ranks come from one fixed stream, so every run asks the same mix of
+/// frequent and rare words; the run's seed picks the collection, and with
+/// it which words hold those ranks. Figures of two seeds then differ by
+/// their collections, not by which queries each happened to draw.
+pub fn make_queries(spec: &CollectionSpec, oracle: &Oracle) -> Vec<Query> {
     let gen = CollectionGenerator::new(spec.clone());
     let vocab = gen.vocabulary();
     let zipf = Zipf::new(vocab.len(), spec.zipf_s);
-    let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ 0x5175_6572_7921));
+    let mut rng = StdRng::seed_from_u64(QUERY_RANK_SEED);
     let mut out = Vec::with_capacity(2 * QUERIES_PER_CLASS);
     while out.len() < 2 * QUERIES_PER_CLASS {
         let n_words = rng.gen_range(2..=3);
@@ -93,34 +95,21 @@ fn open(dir: &Path) -> Result<(Duration, Index), String> {
     Ok((t.elapsed(), index))
 }
 
-/// One run of the query workload.
-pub fn run(seed: u64, seconds: Duration, trace: bool) -> Result<Outcome, String> {
-    let work = WorkDir::new(Workload::Query)?;
-    let inputs = prepare(Workload::Query.spec(seed), &work.join("collection"))?;
-    let queries = make_queries(&inputs.spec, &inputs.oracle, seed);
-    let served = work.join("served");
-
-    // Set-up: build and commit the served index, the same way every run.
-    let mut setup = Vec::new();
-    for _ in 0..if trace { 1 } else { SETUP_BUILDS } {
-        let _ = fs::remove_dir_all(&served);
-        let t = Instant::now();
-        let index = build_durable(&inputs.collection, &served, false)?;
-        setup.push(t.elapsed().as_secs_f64());
-        drop(index);
-    }
-    eprintln!("setup builds (s): {setup:?}");
-
-    if trace {
-        return traced(&inputs.oracle, &queries, &served);
-    }
-    let mut outcome = Outcome::new();
-
+/// Open the served index [`OPENS`] times, then run whole rounds of
+/// `queries` until `window` has passed since the first open, at least one;
+/// every answer is one operation.
+pub fn serve(
+    served: &Path,
+    queries: &[Query],
+    window: Duration,
+    outcome: &mut Outcome,
+) -> Result<(), String> {
+    let start = Instant::now();
     let mut opens = Vec::new();
     let mut index = None;
     for _ in 0..OPENS {
         drop(index.take());
-        let (took, opened) = open(&served)?;
+        let (took, opened) = open(served)?;
         opens.push(took.as_secs_f64());
         index = Some(opened);
     }
@@ -133,10 +122,9 @@ pub fn run(seed: u64, seconds: Duration, trace: bool) -> Result<Outcome, String>
     let mut and_us = Vec::new();
     let mut or_us = Vec::new();
     let mut busy = Duration::ZERO;
-    let start = Instant::now();
     // Whole rounds only, so every run asks each query equally often.
-    while and_us.is_empty() || start.elapsed() < seconds {
-        for q in &queries {
+    while and_us.is_empty() || start.elapsed() < window {
+        for q in queries {
             let (took, check) = ask(&index, q);
             outcome.record(&check);
             busy += took;
@@ -163,13 +151,18 @@ pub fn run(seed: u64, seconds: Duration, trace: bool) -> Result<Outcome, String>
         "1/s",
         (and_us.len() + or_us.len()) as f64 / busy.as_secs_f64(),
     );
-    outcome.push("setup_s", "s", median(&setup));
-    Ok(outcome)
+    Ok(())
 }
 
-/// The traced query run: the read-side layers timed alone on the served
-/// index, and the index's own query counters over two rounds.
-fn traced(oracle: &Oracle, queries: &[Query], served: &Path) -> Result<Outcome, String> {
+/// The read-side layers timed alone on the served index, and the index's
+/// own query counters over two rounds of `queries`, which must move them by
+/// the same amounts; that comparison is one more operation.
+pub fn layer_values(
+    served: &Path,
+    queries: &[Query],
+    outcome: &mut Outcome,
+    values: &mut BTreeMap<String, f64>,
+) -> Result<(), String> {
     let mut verify = Vec::new();
     for _ in 0..OPENS {
         let t = Instant::now();
@@ -180,8 +173,6 @@ fn traced(oracle: &Oracle, queries: &[Query], served: &Path) -> Result<Outcome, 
         }
     }
     let (_, index) = open(served)?;
-    let mut outcome = Outcome::new();
-    outcome.record(&oracle.check_index(&index).map_err(OpError::Wrong));
 
     // Dictionary lookups of the queries' own terms.
     let terms: Vec<String> = queries
@@ -237,16 +228,25 @@ fn traced(oracle: &Oracle, queries: &[Query], served: &Path) -> Result<Outcome, 
         .iter()
         .filter(|q| matches!(q.want, Want::And(_)))
         .count() as f64;
-    let values = [
-        median(&verify),
-        lookup_ns,
-        decode,
-        rounds[0][0] as f64 / queries.len() as f64,
-        rounds[0][1] as f64 / and_queries,
-        rounds[0][2] as f64 / and_queries,
+    let figures = [
+        ("store.verify_s", median(&verify)),
+        ("dict.lookup_ns", lookup_ns),
+        ("postings.decode_mpostings_s", decode),
+        (
+            "query.postings_scanned_per_query",
+            rounds[0][0] as f64 / queries.len() as f64,
+        ),
+        (
+            "query.blocks_decoded_per_query",
+            rounds[0][1] as f64 / and_queries,
+        ),
+        (
+            "query.blocks_skipped_per_query",
+            rounds[0][2] as f64 / and_queries,
+        ),
     ];
-    for ((name, unit), v) in QUERY_LAYERS.iter().zip(values) {
-        outcome.push(name, unit, v);
+    for (name, v) in figures {
+        values.insert(name.into(), v);
     }
-    Ok(outcome)
+    Ok(())
 }

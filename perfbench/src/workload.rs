@@ -1,4 +1,4 @@
-//! The three workloads, their seeded inputs and their scratch directory.
+//! The two workloads, their seeded inputs and their scratch directory.
 
 use crate::oracle::Oracle;
 use ii_core::corpus::{CollectionSpec, StoredCollection};
@@ -7,15 +7,15 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Each workload builds and commits an index, reopens it and serves
+/// Zipf-sampled AND and OR top-10 queries from it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
     /// Durable CPU-only build of the congress-like collection.
     BuildCpu,
-    /// In-memory build of the clueweb-like collection with one simulated GPU.
+    /// In-memory build of the clueweb-like collection with one simulated
+    /// GPU, then saved.
     BuildGpu,
-    /// Zipf-sampled AND and OR top-10 queries on the committed index of the
-    /// build-cpu input.
-    Query,
 }
 
 impl Workload {
@@ -23,10 +23,7 @@ impl Workload {
         match s {
             "build-cpu" => Ok(Workload::BuildCpu),
             "build-gpu" => Ok(Workload::BuildGpu),
-            "query" => Ok(Workload::Query),
-            _ => Err(format!(
-                "unknown workload {s} (build-cpu, build-gpu, query)"
-            )),
+            _ => Err(format!("unknown workload {s} (build-cpu, build-gpu)")),
         }
     }
 
@@ -34,7 +31,6 @@ impl Workload {
         match self {
             Workload::BuildCpu => "build-cpu",
             Workload::BuildGpu => "build-gpu",
-            Workload::Query => "query",
         }
     }
 
@@ -43,7 +39,7 @@ impl Workload {
     pub fn spec(self, seed: u64) -> CollectionSpec {
         let mut spec = match self {
             // 36 files x 500 docs, ~65 MB of HTML, 50k-word vocabulary.
-            Workload::BuildCpu | Workload::Query => CollectionSpec::congress_like(4.0),
+            Workload::BuildCpu => CollectionSpec::congress_like(4.0),
             // 12 files x 400 docs, ~21 MB of HTML, 150k-word vocabulary,
             // distribution shift at 80% of the files.
             Workload::BuildGpu => CollectionSpec::clueweb_like(1.0),
